@@ -981,11 +981,11 @@ func (s *server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 			view = viewForKind(kind)
 		}
 		// 304 pre-check before touching the cache: the client's tag matching
-		// the live version (with nothing staged) proves the payload it holds
-		// is current, whatever view it is — version guards them all.
+		// the live version proves the payload it holds is current, whatever
+		// view it is — version guards them all.
 		etag := `"` + strconv.FormatUint(sess.Version(), 10) + `"`
 		if inm := r.Header.Get("If-None-Match"); inm != "" &&
-			etagMatches(inm, etag) && sess.StagedVotes() == 0 {
+			etagMatches(inm, etag) {
 			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
 			return

@@ -595,30 +595,6 @@ func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	return s.s.AppendColumns(raw, endTask)
 }
 
-// AppendStagedVotes stages a batch of intra-task votes without taking the
-// session mutex: validation runs against the immutable population size and
-// the batch lands in a per-CPU-sharded staging buffer, so concurrent
-// goroutines feeding one session scale instead of serializing. Staged votes
-// take effect — and, on a durable engine, become durable — at the next merge
-// point: any mutation, estimate read, task boundary, Sync or checkpoint.
-// Relative order among staged votes is not preserved (batches may be
-// reordered whole), so stage only votes whose order is immaterial, i.e.
-// votes within one task.
-func (s *Session) AppendStagedVotes(batch []Vote) error {
-	vs := make([]votes.Vote, len(batch))
-	for i, v := range batch {
-		label := votes.Clean
-		if v.Dirty {
-			label = votes.Dirty
-		}
-		vs[i] = votes.Vote{Item: v.Item, Worker: v.Worker, Label: label}
-	}
-	return s.s.AppendStaged(vs)
-}
-
-// StagedVotes returns the number of staged votes awaiting merge.
-func (s *Session) StagedVotes() int64 { return s.s.StagedVotes() }
-
 // EndTask marks a task boundary.
 func (s *Session) EndTask() { s.s.EndTask() }
 

@@ -22,8 +22,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 	verify := func(t *testing.T, s *Session, step int) {
 		t.Helper()
 		got := s.Estimates()
-		// Estimates merged any staged votes, so the suite now reflects the
-		// full stream; the uncached walk is the ground truth.
+		// The uncached walk over the full stream is the ground truth.
 		want := s.suite.EstimateAllUncached()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: Estimates %+v != uncached recompute %+v", step, got, want)

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"io/fs"
+	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -342,4 +345,97 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReadsNeverWrite: on a durable windowed session every read leaves the
+// session version and the journal bytes exactly as it found them. Only
+// Append, AppendColumns, Record, EndTask, Reset and Restore mutate; a read
+// that journals or bumps the version would break that split.
+func TestReadsNeverWrite(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const n = 40
+	cfg := SessionConfig{
+		Suite: estimator.SuiteConfig{
+			Switch: estimator.SwitchConfig{TrendWindow: 4, RetainLedgers: true},
+		},
+		Window: &window.Config{Size: 4, Stride: 2, DecayAlpha: 0.5},
+	}
+	s, err := e.Create("reads", n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	for task := 0; task < 12; task++ {
+		batch := make([]votes.Vote, 6)
+		for i := range batch {
+			label := votes.Clean
+			if rng.Intn(3) == 0 {
+				label = votes.Dirty
+			}
+			batch[i] = votes.Vote{Item: rng.Intn(n), Worker: rng.Intn(5), Label: label}
+		}
+		if err := s.Append(batch, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	journalBytes := func() int64 {
+		t.Helper()
+		var total int64
+		err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			total += info.Size()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return total
+	}
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"Estimates", func() error { s.Estimates(); return nil }},
+		{"WindowEstimates/current", func() error { _, err := s.WindowEstimates(window.KindCurrent); return err }},
+		{"WindowEstimates/last", func() error { _, err := s.WindowEstimates(window.KindLast); return err }},
+		{"WindowEstimates/decayed", func() error { _, err := s.WindowEstimates(window.KindDecayed); return err }},
+		{"TotalVotes", func() error { s.TotalVotes(); return nil }},
+		{"NumWorkers", func() error { s.NumWorkers(); return nil }},
+		{"MajorityDirty", func() error { s.MajorityDirty(3); return nil }},
+		{"Tasks", func() error { s.Tasks(); return nil }},
+		{"Snapshot", func() error { s.Snapshot(); return nil }},
+		{"SwitchCI", func() error { _, err := s.SwitchCI(50, 0.9); return err }},
+		{"Chao92CI", func() error { _, err := s.Chao92CI(50, 0.9); return err }},
+	}
+	for _, r := range reads {
+		t.Run(r.name, func(t *testing.T) {
+			wantVersion, wantBytes := s.Version(), journalBytes()
+			// Twice: the second read exercises the cached paths.
+			for i := 0; i < 2; i++ {
+				if err := r.read(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if v := s.Version(); v != wantVersion {
+				t.Fatalf("version %d after read, want %d", v, wantVersion)
+			}
+			if b := journalBytes(); b != wantBytes {
+				t.Fatalf("journal holds %d bytes after read, want %d", b, wantBytes)
+			}
+		})
+	}
 }

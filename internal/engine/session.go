@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,22 +66,17 @@ type Session struct {
 	id      string
 	created time.Time
 	// items is the population size N, immutable for the session's lifetime —
-	// read lock-free by Append/AppendStaged validation, so staging a batch
-	// never touches the session mutex.
+	// read lock-free by Append validation.
 	items int
 
-	mu    sync.Mutex
-	suite *estimator.Suite
+	mu sync.Mutex
+	// writersWaiting counts mutators blocked on mu (see lockWrite).
+	writersWaiting atomic.Int32
+	suite          *estimator.Suite
 	// ring is the windowed-estimation state (nil without a window config).
 	ring  *window.Ring
 	tasks int64
 
-	// staged holds votes accepted by AppendStaged but not yet folded into the
-	// suite: per-stripe buffers concurrent writers scatter over without
-	// contending on mu. Merge points (task boundaries, estimate reads, syncs,
-	// any mutation) drain it under mu — journaling each stripe batch before
-	// applying it, so the write-ahead invariant holds for staged votes too.
-	staged *votes.Stripes
 	// cols is the columnar decode scratch of AppendColumns, reused so the
 	// binary ingest path stays allocation-free after warmup. Guarded by mu.
 	cols votelog.VoteColumns
@@ -188,7 +184,6 @@ func NewSession(id string, n int, cfg SessionConfig) *Session {
 		created: now,
 		items:   n,
 		suite:   estimator.NewSuite(n, cfg.Suite),
-		staged:  votes.NewStripes(0),
 		ciSeed:  cfg.CISeed,
 	}
 	if cfg.Window != nil {
@@ -310,6 +305,30 @@ func (s *Session) applyEndTask() (window.Rotation, bool) {
 	return s.ring.EndTask()
 }
 
+// lockWrite takes mu for a mutation. A writer that finds mu held counts
+// itself in writersWaiting while it waits, so a reader releasing mu can hand
+// it the CPU (see yieldToWriter).
+func (s *Session) lockWrite() {
+	if s.mu.TryLock() {
+		return
+	}
+	s.writersWaiting.Add(1)
+	s.mu.Lock()
+	s.writersWaiting.Add(-1)
+}
+
+// yieldToWriter runs after Estimates' miss path released mu. If a writer is
+// blocked on mu, Unlock has just made it runnable on this CPU; yielding lets
+// it run now. Otherwise, with more busy goroutines than CPUs, it waits out
+// this reader's whole time slice: a poller that hits the lock-free cache
+// never blocks, so nothing else gives the CPU up. Reads that always take mu
+// need no yield — their pollers park on mu and the mutex hands it over.
+func (s *Session) yieldToWriter() {
+	if s.writersWaiting.Load() > 0 {
+		runtime.Gosched()
+	}
+}
+
 // journalBatch write-ahead-logs one batch (and, for a task boundary on a
 // windowed session, the rotation that boundary will seal — in the same
 // frame, so recovery can never see the boundary without its rotation).
@@ -323,75 +342,10 @@ func (s *Session) journalBatch(batch []votes.Vote, endTask bool) error {
 	return s.journal.Append(batch, endTask)
 }
 
-// mergeStagedLocked drains the staged-vote stripes into the suite: each
-// stripe batch is journaled (its own frame) and applied, in stripe order.
-// Stage order is not arrival order — staged votes are order-independent by
-// the AppendStaged contract — but journal order equals apply order, so
-// recovery still replays to bit-identical state. A journal error leaves the
-// failing stripe and everything after it staged (nothing is dropped) and is
-// reported for the caller to surface. Call under mu, before any read or
-// mutation that must observe staged votes.
-func (s *Session) mergeStagedLocked() error {
-	if s.staged.Pending() == 0 {
-		return nil
-	}
-	merged := false
-	err := s.staged.Drain(func(batch []votes.Vote) error {
-		if s.journal != nil {
-			if err := s.journal.Append(batch, false); err != nil {
-				return &JournalError{SessionID: s.id, Err: err}
-			}
-		}
-		for _, v := range batch {
-			s.applyVote(v)
-		}
-		merged = true
-		metricBatches.Inc()
-		metricVotes.Add(uint64(len(batch)))
-		return nil
-	})
-	if merged {
-		s.bump()
-	}
-	return err
-}
-
-// mustMergeStaged is mergeStagedLocked for the void mutators, which panic on
-// journal failures like their own writes do.
-func (s *Session) mustMergeStaged() {
-	if err := s.mergeStagedLocked(); err != nil {
-		panic(fmt.Sprintf("engine: session %q staged merge: %v", s.id, err))
-	}
-}
-
-// AppendStaged stages a batch of intra-task votes without taking the session
-// mutex: validation runs against the immutable population size, the batch
-// lands in a sharded staging buffer, and the call returns. Concurrent
-// writers feeding one session therefore scale instead of serializing on mu.
-// The votes take effect (and, on a durable session, become durable) at the
-// next merge point — any mutation, estimate read, task boundary, Sync or
-// checkpoint. Because merging drains stripes in stripe order, staged votes
-// may be applied out of arrival order relative to each other; stage only
-// votes whose relative order is immaterial (votes within one task — every
-// estimator aggregate is intra-task order-independent). Batches are never
-// split or interleaved, only reordered whole.
-func (s *Session) AppendStaged(batch []votes.Vote) error {
-	n := s.items
-	for i, v := range batch {
-		if v.Item < 0 || v.Item >= n {
-			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
-		}
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	s.staged.PutBatch(batch)
-	s.touch()
-	return nil
-}
-
-// StagedVotes returns the number of staged votes awaiting merge.
-func (s *Session) StagedVotes() int64 { return s.staged.Pending() }
+// StagedVotes always returns 0: every acknowledged vote is journaled and
+// applied before its append returns, so nothing is ever staged. It stays only
+// for perfbench/trace_monitor.go, which still calls it.
+func (s *Session) StagedVotes() int64 { return 0 }
 
 // AppendColumns ingests one columnar batch: raw DQMV 'V'-record bytes (one
 // task block of a binary vote log — see votelog.SplitBinaryTasks), validated,
@@ -404,7 +358,7 @@ func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	if len(raw) == 0 && !endTask {
 		return 0, nil
 	}
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
 	cols := &s.cols
 	if err := cols.Decode(raw); err != nil {
@@ -415,9 +369,6 @@ func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 		if item >= n {
 			return 0, fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, item, n)
 		}
-	}
-	if err := s.mergeStagedLocked(); err != nil {
-		return 0, err
 	}
 	if s.journal != nil {
 		windowStart := int64(-1)
@@ -457,9 +408,8 @@ func (s *Session) Record(item, worker int, dirty bool) {
 		label = votes.Dirty
 	}
 	v := votes.Vote{Item: item, Worker: worker, Label: label}
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
-	s.mustMergeStaged()
 	if s.journal != nil {
 		// Check the range before the write-ahead: the journal must never
 		// hold a vote that replay would reject.
@@ -490,11 +440,8 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
 		}
 	}
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil {
-		return err
-	}
 	if s.journal != nil {
 		if err := s.journalBatch(batch, endTask); err != nil {
 			return &JournalError{SessionID: s.id, Err: err}
@@ -518,9 +465,8 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // per-task majority series. It panics on a journal write failure (use Append
 // with endTask for an error-returning path).
 func (s *Session) EndTask() {
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
-	s.mustMergeStaged()
 	if s.journal != nil {
 		if err := s.journalBatch(nil, true); err != nil {
 			panic(fmt.Sprintf("engine: session %q journal: %v", s.id, err))
@@ -539,9 +485,6 @@ func (s *Session) Tasks() int64 {
 	return s.tasks
 }
 
-// StagedEmpty reports whether no staged votes are awaiting merge (lock-free).
-func (s *Session) StagedEmpty() bool { return s.staged.Pending() == 0 }
-
 // Estimates returns every selected estimator's value at the current
 // position. The fast path is lock-free: if the session has not mutated since
 // the last read (version unchanged), the cached snapshot is returned without
@@ -550,20 +493,16 @@ func (s *Session) StagedEmpty() bool { return s.staged.Pending() == 0 }
 // first read after a mutation recomputes, under the mutex.
 func (s *Session) Estimates() estimator.Estimates {
 	v := s.version.Load()
-	if c := s.cached.Load(); c != nil && c.version == v && s.staged.Pending() == 0 {
+	if c := s.cached.Load(); c != nil && c.version == v {
 		s.touch()
 		metricEstimateHits.Inc()
 		return c.est.Clone()
 	}
+	defer s.yieldToWriter() // runs after the Unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touch()
 	metricEstimateMisses.Inc()
-	// Fold staged votes in first — estimates reflect everything acknowledged.
-	// A journal error here leaves them staged (retried at the next merge
-	// point, where a mutation path will surface the sticky error); the
-	// estimate is then simply computed over the durable prefix.
-	_ = s.mergeStagedLocked()
 	return s.estimatesLocked()
 }
 
@@ -637,7 +576,6 @@ func (s *Session) WindowEstimates(kind window.Kind) (window.Result, error) {
 	if s.ring == nil {
 		return window.Result{}, fmt.Errorf("engine: session %q has no window configuration", s.id)
 	}
-	_ = s.mergeStagedLocked()
 	s.touch()
 	return s.ring.Estimates(kind)
 }
@@ -657,7 +595,6 @@ func (s *Session) NumItems() int { return s.items }
 func (s *Session) NumWorkers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.NumWorkers()
 }
 
@@ -665,7 +602,6 @@ func (s *Session) NumWorkers() int {
 func (s *Session) TotalVotes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.TotalVotes()
 }
 
@@ -673,7 +609,6 @@ func (s *Session) TotalVotes() int64 {
 func (s *Session) MajorityDirty(item int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.MajorityDirty(item)
 }
 
@@ -682,9 +617,8 @@ func (s *Session) MajorityDirty(item int) bool {
 // compaction discards all pre-reset history. It panics on a journal write
 // failure.
 func (s *Session) Reset() {
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
-	s.mustMergeStaged()
 	if s.journal != nil {
 		if err := s.journal.Reset(); err != nil {
 			panic(fmt.Sprintf("engine: session %q journal: %v", s.id, err))
@@ -708,9 +642,6 @@ func (s *Session) Durable() bool { return s.journal != nil }
 func (s *Session) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil {
-		return err
-	}
 	if s.journal == nil {
 		return nil
 	}
@@ -723,9 +654,6 @@ func (s *Session) Sync() error {
 func (s *Session) checkpointJournal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
 	if s.journal == nil {
 		return nil
 	}
@@ -736,23 +664,13 @@ func (s *Session) checkpointJournal() error {
 }
 
 // closeJournal flushes and closes the journal (eviction and engine close).
-// Staged votes are merged (journaled) first, so eviction cannot strand
-// acknowledged votes in memory.
 func (s *Session) closeJournal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mergeErr := s.mergeStagedLocked()
-	if errors.Is(mergeErr, wal.ErrClosed) {
-		mergeErr = nil
-	}
 	if s.journal == nil {
-		return mergeErr
+		return nil
 	}
-	// A failed merge must not leak the journal's fd: close regardless.
-	if err := s.journal.Close(); err != nil {
-		return err
-	}
-	return mergeErr
+	return s.journal.Close()
 }
 
 // maxCICacheEntries bounds the per-session CI memo; beyond it the whole map
@@ -777,7 +695,6 @@ func (s *Session) runCI(key ciKey, capture func() (func() (estimator.CI, error),
 		return estimator.CI{}, err
 	}
 	s.mu.Lock()
-	_ = s.mergeStagedLocked()
 	s.touch()
 	v := s.version.Load()
 	if e, ok := s.ciCache[key]; ok && e.version == v {
@@ -867,7 +784,6 @@ func (s *Session) Chao92CI(replicates int, level float64) (estimator.CI, error) 
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	sn := &Snapshot{
 		suite: s.suite.Clone(),
 		tasks: s.tasks,
@@ -889,7 +805,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if sn == nil || sn.suite == nil {
 		return fmt.Errorf("engine: restore from empty snapshot")
 	}
-	s.mu.Lock()
+	s.lockWrite()
 	defer s.mu.Unlock()
 	if s.journal != nil {
 		// A snapshot is a deep clone of estimator state without the vote
@@ -897,7 +813,6 @@ func (s *Session) Restore(sn *Snapshot) error {
 		// represent a restore; allowing one would silently diverge recovery.
 		return fmt.Errorf("engine: session %q is durable; in-memory snapshot restore is not supported (replay the journal instead)", s.id)
 	}
-	_ = s.mergeStagedLocked()
 	// Hold the snapshot's own lock while cloning: Snapshot.Estimates mutates
 	// scratch state inside the suite, so an unguarded concurrent Clone would
 	// race (sn.mu is always the innermost lock; nothing under it takes s.mu).

@@ -51,15 +51,11 @@ const (
 	NumViews
 )
 
-// Session is the surface the hub needs from an engine session. Implemented
-// by thin adapters over dqm.Session (or fakes in tests).
+// Session is the surface the hub needs from an engine session. *dqm.Session
+// implements it (tests use fakes).
 type Session interface {
 	// Version is the session's monotonic mutation counter.
 	Version() uint64
-	// Pending reports whether mutations are staged but not yet folded into
-	// the version counter (staged votes): a cached frame at the current
-	// version is stale while Pending, because encoding would merge them.
-	Pending() bool
 	// Notify/StopNotify register a version-advance signal channel
 	// (non-blocking sends; capacity 1 suffices).
 	Notify(ch chan<- struct{})
@@ -221,13 +217,13 @@ func (sh *sessionHub) close() {
 // subscribers waking for the same version cost exactly one Encode.
 func (sh *sessionHub) frame(view View) *frame {
 	v := sh.sess.Version()
-	if f := sh.frames[view].Load(); f != nil && f.version >= v && !sh.sess.Pending() {
+	if f := sh.frames[view].Load(); f != nil && f.version >= v {
 		return f
 	}
 	sh.encMu[view].Lock()
 	defer sh.encMu[view].Unlock()
 	v = sh.sess.Version()
-	if f := sh.frames[view].Load(); f != nil && f.version >= v && !sh.sess.Pending() {
+	if f := sh.frames[view].Load(); f != nil && f.version >= v {
 		return f
 	}
 	body, ver, err := sh.h.cfg.Encode(sh.sess, view)

@@ -15,14 +15,12 @@ import (
 // non-blockingly.
 type fakeSession struct {
 	version atomic.Uint64
-	pending atomic.Bool
 
 	mu        sync.Mutex
 	notifiers []chan<- struct{}
 }
 
 func (f *fakeSession) Version() uint64 { return f.version.Load() }
-func (f *fakeSession) Pending() bool   { return f.pending.Load() }
 
 func (f *fakeSession) Notify(ch chan<- struct{}) {
 	f.mu.Lock()
@@ -296,7 +294,9 @@ func TestEncodeErrorAdvancesCursor(t *testing.T) {
 	}
 }
 
-func TestPendingForcesReencode(t *testing.T) {
+// TestPayloadReencodesOnlyOnVersionAdvance: repeated reads of an unchanged
+// session share one encode; a version advance invalidates it.
+func TestPayloadReencodesOnlyOnVersionAdvance(t *testing.T) {
 	h, sess, encodes := testHub(t, Config{})
 	sess.bump()
 	if _, _, _, ok := h.Payload("s", ViewAll); !ok {
@@ -308,13 +308,12 @@ func TestPendingForcesReencode(t *testing.T) {
 	if got := encodes.Load(); got != 1 {
 		t.Fatalf("encodes = %d for cached reads, want 1", got)
 	}
-	// Staged-but-unversioned mutations invalidate the cache.
-	sess.pending.Store(true)
-	if _, _, _, ok := h.Payload("s", ViewAll); !ok {
-		t.Fatalf("Payload failed")
+	sess.bump()
+	if _, v, _, ok := h.Payload("s", ViewAll); !ok || v != 2 {
+		t.Fatalf("Payload after bump: version %d ok %v, want 2 true", v, ok)
 	}
 	if got := encodes.Load(); got != 2 {
-		t.Fatalf("encodes = %d with pending staged votes, want 2", got)
+		t.Fatalf("encodes = %d after a version advance, want 2", got)
 	}
 }
 

@@ -279,9 +279,12 @@ func TestDispatcherQueueOverflowCountsDeadLetter(t *testing.T) {
 		<-block
 	}))
 	defer srv.Close()
-	defer close(block)
 	d := NewDispatcher(DispatcherConfig{QueueSize: 1, Workers: 1, MaxAttempts: 1, Timeout: 10 * time.Second})
 	defer d.Close()
+	// Deferred after d.Close so it runs first: the blocked handler is
+	// released before Close waits for the worker, instead of the worker
+	// sitting out the client Timeout.
+	defer close(block)
 	d.Enqueue(Delivery{URL: srv.URL, Body: []byte(`{}`)}) // occupies the worker
 	waitFor(t, "worker busy", func() bool { return len(d.queue) == 0 })
 	d.Enqueue(Delivery{URL: srv.URL, Body: []byte(`{}`)}) // fills the queue
